@@ -1,58 +1,29 @@
 package repro.core.quality
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import scala.collection.immutable.ArraySeq
+import org.apache.spark.sql.DataFrame
 import repro.core.{AttrSet, JoinTree, Schema}
+import repro.core.entropy.EncodedRelation
 
 /** Quality measures of a decomposition (paper Sec. 8.1/8.2/8.4):
   * spurious-tuple rate E%, cell savings S%, width and intersection width.
   *
-  * The join size |R[Ω1] ⋈ … ⋈ R[Ωm]| is computed with Yannakakis-style
-  * counting along the join tree: each node sends its parent a DataFrame
-  * keyed by the edge separator carrying the number of join combinations of
-  * its subtree. The full (possibly astronomically larger) join is never
-  * materialized — e.g. the all-singletons Nursery schema joins to
-  * 3·5·4·4·3·2·3·3·5 = 64800 tuples from 32 projected cells.
+  * Each measure encodes its DataFrame once ([[EncodedRelation]]) and works
+  * over the `Int` codes in memory; null is a value like any other, so two
+  * nulls join. The join size |R[Ω1] ⋈ … ⋈ R[Ωm]| is Yannakakis counting
+  * along the join tree: each node sends its parent a map from separator
+  * value to the number of join combinations of its subtree. The full
+  * (possibly astronomically larger) join is never materialized — e.g. the
+  * all-singletons Nursery schema joins to 3·5·4·4·3·2·3·3·5 = 64800 tuples
+  * from 32 projected cells.
   */
 object SchemaQuality {
 
   /** |⋈_i R[Ωi]| for an acyclic schema, as a Double (counts can exceed
     * Long range for extreme schemas; the paper reports percentages).
     */
-  def joinSize(df: DataFrame, tree: JoinTree): Double = {
-    val names = df.columns
-    def bagCols(s: AttrSet): Seq[String] = s.toSeq.map(names(_))
-
-    /** cnt-message of `node` toward its parent: one row per separator value
-      * with the number of subtree join combinations for it.
-      */
-    def msg(node: Int): DataFrame = {
-      var cur = df
-        .select(bagCols(tree.bags(node)).map(col): _*)
-        .distinct()
-        .withColumn("__cnt", lit(1.0))
-      for (ch <- tree.children(node)) {
-        val m = msg(ch).withColumnRenamed("__cnt", "__ccnt")
-        val sep = bagCols(tree.bags(ch) & tree.bags(node))
-        cur =
-          if (sep.isEmpty) cur.crossJoin(m) // child subtree is independent
-          else cur.join(m, sep)
-        cur = cur.withColumn("__cnt", col("__cnt") * col("__ccnt")).drop("__ccnt")
-      }
-      val p = tree.parent(node)
-      if (p < 0) cur.agg(sum("__cnt").as("__cnt"))
-      else {
-        val sep = bagCols(tree.bags(node) & tree.bags(p))
-        if (sep.isEmpty) cur.agg(sum("__cnt").as("__cnt"))
-        else cur.groupBy(sep.map(col): _*).agg(sum("__cnt").as("__cnt"))
-      }
-    }
-
-    val root = tree.parent.indexOf(-1)
-    require(root >= 0, "join tree has no root")
-    val row = msg(root).head()
-    if (row.isNullAt(0)) 0.0 else row.getDouble(0)
-  }
+  def joinSize(df: DataFrame, tree: JoinTree): Double =
+    countJoin(EncodedRelation.fromDataFrame(df), tree)
 
   /** Spurious tuple percentage E = |⋈ R[Ωi] \ R| / N · 100 (Sec. 8.1).
     * The join of projections is a superset of the *distinct* tuples of R, so
@@ -61,23 +32,51 @@ object SchemaQuality {
     * duplicate rows.
     */
   def spuriousPct(df: DataFrame, tree: JoinTree, nRows: Long): Double = {
-    val js = joinSize(df, tree)
-    val distinctRows = df.distinct().count().toDouble
-    (js - distinctRows) / nRows.toDouble * 100.0
+    val rel = EncodedRelation.fromDataFrame(df)
+    val distinctRows = distinctOn(rel, AttrSet.range(rel.n)).length.toDouble
+    (countJoin(rel, tree) - distinctRows) / nRows.toDouble * 100.0
   }
 
   /** Total cells stored by the decomposition: Σ |distinct R[Ωi]| · |Ωi|. */
   def projectedCells(df: DataFrame, schema: Schema): Long = {
-    val names = df.columns
-    schema.bags.map { bag =>
-      val cols = bag.toSeq.map(i => col(names(i)))
-      df.select(cols: _*).distinct().count() * bag.size
-    }.sum
+    val rel = EncodedRelation.fromDataFrame(df)
+    schema.bags.map(bag => distinctOn(rel, bag).length.toLong * bag.size).sum
   }
 
   /** Cell savings S = (cells(R) − cells(S)) / cells(R) · 100 (Sec. 8.1). */
   def savingsPct(df: DataFrame, schema: Schema, nRows: Long): Double = {
     val totalCells = nRows.toDouble * df.columns.length
     (totalCells - projectedCells(df, schema).toDouble) / totalCells * 100.0
+  }
+
+  private def cols(s: AttrSet): Array[Int] = s.toSeq.toArray
+
+  /** The codes of `row` at `cols`, with structural equality and hashing. */
+  private def key(row: Array[Int], cols: Array[Int]): ArraySeq[Int] =
+    ArraySeq.unsafeWrapArray(cols.map(row(_)))
+
+  /** One representative row per distinct projection onto `s`. */
+  private def distinctOn(rel: EncodedRelation, s: AttrSet): Array[Array[Int]] = {
+    val c = cols(s)
+    rel.rows.distinctBy(key(_, c))
+  }
+
+  private def countJoin(rel: EncodedRelation, tree: JoinTree): Double = {
+    // The message of `node` to its parent, keyed by the codes of separator
+    // `sep` (the root's separator is empty: one empty key).
+    def msg(node: Int, sep: AttrSet): Map[ArraySeq[Int], Double] = {
+      val inbox = tree.children(node).map { ch =>
+        val s = tree.bags(ch) & tree.bags(node)
+        (cols(s), msg(ch, s))
+      }
+      val sepCols = cols(sep)
+      distinctOn(rel, tree.bags(node)).groupMapReduce(key(_, sepCols)) { r =>
+        inbox.foldLeft(1.0) { case (acc, (c, m)) => acc * m.getOrElse(key(r, c), 0.0) }
+      }(_ + _)
+    }
+
+    val root = tree.parent.indexOf(-1)
+    require(root >= 0, "join tree has no root")
+    msg(root, AttrSet.empty).valuesIterator.sum
   }
 }

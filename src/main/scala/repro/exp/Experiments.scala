@@ -65,19 +65,17 @@ object Experiments {
                      thresholds: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5),
                      maxScored: Int = 40,
                      mineMsPerEps: Long = 120000L): Vector[SchemeRow] = {
-    val df = NurseryData.load(spark).cache()
-    val nRows = df.count()
-    schemesWithQuality(spark, df, nRows, thresholds, maxScored, mineMsPerEps)
+    schemesWithQuality(NurseryData.load(spark).cache(), thresholds, maxScored, mineMsPerEps)
   }
 
   /** Mine schemes at each threshold, dedupe, score J / S% / E%, and mark the
     * pareto-optimal (S maximal, E minimal) schemes — the schemes the paper
     * details in Fig. 10 and connects by a line in Fig. 11.
     */
-  def schemesWithQuality(spark: SparkSession, df: DataFrame, nRows: Long,
-                         thresholds: Seq[Double], maxScored: Int,
+  def schemesWithQuality(df: DataFrame, thresholds: Seq[Double], maxScored: Int,
                          mineMsPerEps: Long): Vector[SchemeRow] = {
     val rel = EncodedRelation.fromDataFrame(df)
+    val nRows = rel.size.toLong
     val calc = new InfoCalc(new LocalEntropyOracle(rel))
     val seen = scala.collection.mutable.HashSet.empty[Vector[Long]]
     val picked = Vector.newBuilder[(Double, ASMiner.Scored)]
@@ -139,8 +137,7 @@ object Experiments {
                mineMsPerEps: Long = 60000L): Vector[AccuracyRow] =
     datasets.toVector.flatMap { name =>
       val df = MetanomeLite.load(spark, name, rowCap).cache()
-      val nRows = df.count()
-      val rows = schemesWithQuality(spark, df, nRows, thresholds, maxScored, mineMsPerEps)
+      val rows = schemesWithQuality(df, thresholds, maxScored, mineMsPerEps)
       val buckets = Seq((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 10.0))
       buckets.flatMap { case (lo, hi) =>
         val in = rows.filter(r => r.j >= lo && r.j < hi).map(_.spuriousPct).sorted
@@ -169,14 +166,7 @@ object Experiments {
     datasets.toVector.flatMap { name =>
       val full = MetanomeLite.load(spark, name, baseRows)
       fractions.flatMap { f =>
-        val df = full.limit((baseRows * f).toInt)
-        val rel = EncodedRelation.fromDataFrame(df)
-        epss.map { eps =>
-          val calc = new InfoCalc(new LocalEntropyOracle(rel))
-          val res = MvdMiner.mine(calc, rel.n, eps, perPointMs, minSepsOnly = true)
-          ScaleRow(name, eps, rel.size.toLong, rel.n,
-                   res.elapsedMs / 1000.0, res.timedOut, res.distinctMinSeps.size)
-        }
+        minSepsPerEps(name, full.limit((baseRows * f).toInt), epss, perPointMs)
       }
     }
 
@@ -193,16 +183,22 @@ object Experiments {
       val full = MetanomeLite.load(spark, name, rowCap)
       fractions.flatMap { f =>
         val k = math.max(3, (full.columns.length * f).toInt)
-        val df = full.select(full.columns.take(k).map(org.apache.spark.sql.functions.col): _*)
-        val rel = EncodedRelation.fromDataFrame(df)
-        epss.map { eps =>
-          val calc = new InfoCalc(new LocalEntropyOracle(rel))
-          val res = MvdMiner.mine(calc, rel.n, eps, perPointMs, minSepsOnly = true)
-          ScaleRow(name, eps, rel.size.toLong, rel.n,
-                   res.elapsedMs / 1000.0, res.timedOut, res.distinctMinSeps.size)
-        }
+        val df = full.select(full.columns.toSeq.take(k).map(org.apache.spark.sql.functions.col): _*)
+        minSepsPerEps(name, df, epss, perPointMs)
       }
     }
+
+  /** Minimal-separator mining of `df` at each threshold, a fresh oracle each. */
+  private def minSepsPerEps(name: String, df: DataFrame, epss: Seq[Double],
+                            perPointMs: Long): Seq[ScaleRow] = {
+    val rel = EncodedRelation.fromDataFrame(df)
+    epss.map { eps =>
+      val calc = new InfoCalc(new LocalEntropyOracle(rel))
+      val res = MvdMiner.mine(calc, rel.n, eps, perPointMs, minSepsOnly = true)
+      ScaleRow(name, eps, rel.size.toLong, rel.n,
+               res.elapsedMs / 1000.0, res.timedOut, res.distinctMinSeps.size)
+    }
+  }
 
   def formatScale(rows: Seq[ScaleRow]): String =
     fmt(Seq("dataset", "eps", "rows", "cols", "runtime[s]", "minSeps"),

@@ -6,7 +6,7 @@ import repro.core.AttrSet
 import repro.data.RunningExample
 
 /** The Spark groupBy entropy oracle (paper Eq. 5) against the in-memory PLI
-  * oracle, the paper's CNT/TID DataFrame oracle, and a DuckDB SQL oracle.
+  * oracle and a DuckDB SQL oracle.
   */
 class SparkEntropySpec extends SparkSpec {
 
@@ -16,21 +16,12 @@ class SparkEntropySpec extends SparkSpec {
 
   private lazy val sparkOracle = new SparkEntropyOracle(df)
   private lazy val localOracle = new LocalEntropyOracle(EncodedRelation.fromDataFrame(df))
-  private lazy val pliOracle = new SparkPliEntropyOracle(df)
 
   test("spark and local oracles agree on all subsets of 4 columns") {
     AttrSet.subsetsOf(AttrSet.range(4)).foreach { x =>
       val a = sparkOracle.entropy(x)
       val b = localOracle.entropy(x)
       assert(math.abs(a - b) < 1e-9, s"x=$x spark=$a local=$b")
-    }
-  }
-
-  test("spark PLI (CNT/TID) oracle agrees with the groupBy oracle") {
-    AttrSet.subsetsOf(AttrSet.range(4)).foreach { x =>
-      val a = sparkOracle.entropy(x)
-      val b = pliOracle.entropy(x)
-      assert(math.abs(a - b) < 1e-9, s"x=$x groupBy=$a pli=$b")
     }
   }
 
@@ -71,14 +62,6 @@ class SparkEntropySpec extends SparkSpec {
     assert(math.abs(o.entropy(AttrSet.of(B, D, E)) - 1.5) < 1e-9)
     assert(math.abs(o.entropy(AttrSet.range(6)) - 2.0) < 1e-9)
     assert(math.abs(o.entropy(AttrSet.of(A)) - 1.0) < 1e-9)
-  }
-
-  test("running example entropies via the CNT/TID oracle match the paper") {
-    val re = RunningExample.clean(spark)
-    val o = new SparkPliEntropyOracle(re)
-    import RunningExample._
-    assert(math.abs(o.entropy(AttrSet.of(B, D, E)) - 1.5) < 1e-9)
-    assert(math.abs(o.entropy(AttrSet.of(A, D)) - 1.0) < 1e-9)
   }
 
   test("spark oracle memoizes") {

@@ -69,6 +69,25 @@ class SchemaQualitySpec extends SparkSpec {
     assert(SchemaQuality.joinSize(red, t1) == 5.0)
   }
 
+  test("nulls are values: a null separator value joins with itself") {
+    import spark.implicits._
+    // R = {(a,∅,x), (b,1,y)}, schema {AB, BC}: the projections AB = {(a,∅),(b,1)}
+    // and BC = {(∅,x),(1,y)} join on B back to exactly R. (A SQL USING join
+    // never matches ∅ = ∅, so the expected values are worked out by hand.)
+    val df = Seq(("a", None: Option[Int], "x"), ("b", Some(1), "y")).toDF("A", "B", "C")
+    val t = JoinTree.fromSchema(Schema.of(Vector(AttrSet.of(0, 1), AttrSet.of(1, 2)))).get
+    assert(SchemaQuality.joinSize(df, t) == 2.0)
+    assert(math.abs(SchemaQuality.spuriousPct(df, t, 2L)) < 1e-9)
+  }
+
+  test("duplicated rows: the single-bag schema joins to the distinct rows, E = 0") {
+    val dup = clean.union(clean.limit(1)).cache()
+    assert(dup.count() == 5L)
+    val t1 = JoinTree.fromSchema(Schema.of(Vector(AttrSet.range(6)))).get
+    assert(SchemaQuality.joinSize(dup, t1) == 4.0)
+    assert(math.abs(SchemaQuality.spuriousPct(dup, t1, 5L)) < 1e-9)
+  }
+
   test("projectedCells counts distinct projection cells") {
     // clean projections: ABD→3 rows, ACD→3, BDE→3, AF→2
     // cells = 3·3 + 3·3 + 3·3 + 2·2 = 31
