@@ -27,10 +27,10 @@ class Table2Bench extends SparkSpec {
     assert(bridges.fullMvds > 0, "bridges analog should contain full MVDs")
     val echo = rows.find(_.name == "echocardiogram").get
     assert(!echo.timedOut && echo.fullMvds > 0)
-    // every non-timed-out run reports consistent counts
+    // at eps=0 every completed run finds one full MVD per minimal separator
     rows.filterNot(_.timedOut).foreach { r =>
       assert(r.runtimeSec <= perDatasetMs / 1000.0 + 5.0)
-      assert(r.minSeps >= 0 && r.fullMvds >= r.minSeps * 0 )
+      assert(r.fullMvds == r.minSeps, s"${r.name}: ${r.fullMvds} full MVDs vs ${r.minSeps} minseps")
     }
     // the widest datasets are the expensive ones — same shape as the paper,
     // where Census (42) and Voter State (45) hit the TL

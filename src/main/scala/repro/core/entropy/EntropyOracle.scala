@@ -27,8 +27,10 @@ trait EntropyOracle {
 }
 
 object EntropyOracle {
+  private val Ln2 = math.log(2.0)
+
   /** log base 2. */
-  def log2(x: Double): Double = math.log(x) / math.log(2.0)
+  def log2(x: Double): Double = math.log(x) / Ln2
 
   /** `H = log2 N − (1/N)·Σ c·log2 c` from the non-singleton group sizes
     * (singleton groups contribute `1·log2 1 = 0`).

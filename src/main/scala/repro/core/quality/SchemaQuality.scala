@@ -51,14 +51,14 @@ object SchemaQuality {
 
   private def cols(s: AttrSet): Array[Int] = s.toSeq.toArray
 
-  /** The codes of `row` at `cols`, with structural equality and hashing. */
-  private def key(row: Array[Int], cols: Array[Int]): ArraySeq[Int] =
-    ArraySeq.unsafeWrapArray(cols.map(row(_)))
+  /** The codes of row `r` at `cols`, with structural equality and hashing. */
+  private def key(rel: EncodedRelation, r: Int, cols: Array[Int]): ArraySeq[Int] =
+    ArraySeq.unsafeWrapArray(cols.map(rel.cols(_)(r)))
 
-  /** One representative row per distinct projection onto `s`. */
-  private def distinctOn(rel: EncodedRelation, s: AttrSet): Array[Array[Int]] = {
+  /** One representative row id per distinct projection onto `s`. */
+  private def distinctOn(rel: EncodedRelation, s: AttrSet): IndexedSeq[Int] = {
     val c = cols(s)
-    rel.rows.distinctBy(key(_, c))
+    (0 until rel.size).distinctBy(key(rel, _, c))
   }
 
   private def countJoin(rel: EncodedRelation, tree: JoinTree): Double = {
@@ -70,8 +70,8 @@ object SchemaQuality {
         (cols(s), msg(ch, s))
       }
       val sepCols = cols(sep)
-      distinctOn(rel, tree.bags(node)).groupMapReduce(key(_, sepCols)) { r =>
-        inbox.foldLeft(1.0) { case (acc, (c, m)) => acc * m.getOrElse(key(r, c), 0.0) }
+      distinctOn(rel, tree.bags(node)).groupMapReduce(key(rel, _, sepCols)) { r =>
+        inbox.foldLeft(1.0) { case (acc, (c, m)) => acc * m.getOrElse(key(rel, r, c), 0.0) }
       }(_ + _)
     }
 

@@ -7,6 +7,10 @@ import repro.core.info.InfoCalc
 /** Helpers for the unit tests: small random relations and their calculators. */
 object TestData {
 
+  /** A relation from row-major codes (re-encoded per column). */
+  def fromRows(names: Vector[String], rows: Array[Array[Int]]): EncodedRelation =
+    EncodedRelation.fromTuples(names, rows.map(_.toSeq).toSeq)
+
   /** Random relation with `nCols` columns over per-column domains of size
     * `domain`, deterministic in `seed`.
     */
@@ -14,7 +18,7 @@ object TestData {
     val rnd = new Random(seed)
     val names = Vector.tabulate(nCols)(i => ('A' + i).toChar.toString)
     val rows = Array.fill(nRows)(Array.fill(nCols)(rnd.nextInt(domain)))
-    EncodedRelation(names, rows)
+    fromRows(names, rows)
   }
 
   /** Relation where col2 = f(col0) and col3 ⊥ (col0,col1): plants an exact
@@ -29,7 +33,7 @@ object TestData {
       val d = rnd.nextInt(3)  // independent
       Array(a, b, c, d)
     }
-    EncodedRelation(Vector("A", "B", "C", "D"), rows)
+    fromRows(Vector("A", "B", "C", "D"), rows)
   }
 
   def calcOf(rel: EncodedRelation): InfoCalc = new InfoCalc(new LocalEntropyOracle(rel))

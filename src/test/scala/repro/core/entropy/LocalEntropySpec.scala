@@ -1,5 +1,6 @@
 package repro.core.entropy
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.core.{AttrSet, PropSupport, TestData}
@@ -9,7 +10,7 @@ object NaiveEntropy {
   def entropy(rel: EncodedRelation, x: AttrSet): Double = {
     if (x.isEmpty || rel.size == 0) return 0.0
     val idx = x.toSeq
-    val counts = rel.rows.groupBy(r => idx.map(r(_)).toVector).values.map(_.length)
+    val counts = (0 until rel.size).groupBy(r => idx.map(rel.cols(_)(r))).values.map(_.length)
     val n = rel.size.toDouble
     counts.map { c => val p = c / n; -p * (math.log(p) / math.log(2.0)) }.sum
   }
@@ -23,19 +24,19 @@ class LocalEntropySpec extends AnyFunSuite with PropSupport {
   }
 
   test("entropy of a constant column is 0") {
-    val rel = EncodedRelation(Vector("A"), Array.fill(16)(Array(0)))
+    val rel = TestData.fromRows(Vector("A"), Array.fill(16)(Array(0)))
     val o = new LocalEntropyOracle(rel)
     assert(o.entropy(AttrSet.of(0)) == 0.0)
   }
 
   test("entropy of an all-distinct column is log2 N") {
-    val rel = EncodedRelation(Vector("A"), Array.tabulate(16)(i => Array(i)))
+    val rel = TestData.fromRows(Vector("A"), Array.tabulate(16)(i => Array(i)))
     val o = new LocalEntropyOracle(rel)
     assert(math.abs(o.entropy(AttrSet.of(0)) - 4.0) < 1e-12)
   }
 
   test("uniform two-value column has entropy 1") {
-    val rel = EncodedRelation(Vector("A"), Array.tabulate(10)(i => Array(i % 2)))
+    val rel = TestData.fromRows(Vector("A"), Array.tabulate(10)(i => Array(i % 2)))
     val o = new LocalEntropyOracle(rel)
     assert(math.abs(o.entropy(AttrSet.of(0)) - 1.0) < 1e-12)
   }
@@ -83,7 +84,7 @@ class LocalEntropySpec extends AnyFunSuite with PropSupport {
   }
 
   test("H(Omega) = log2 N when all rows are distinct") {
-    val rel = EncodedRelation(Vector("A", "B"), Array.tabulate(8)(i => Array(i / 2, i % 4)))
+    val rel = TestData.fromRows(Vector("A", "B"), Array.tabulate(8)(i => Array(i / 2, i % 4)))
     // rows: (0,0),(0,1),(1,2),(1,3),(2,0),(2,1),(3,2),(3,3) — all distinct
     val o = new LocalEntropyOracle(rel)
     assert(math.abs(o.entropy(AttrSet.range(2)) - 3.0) < 1e-12)
@@ -113,8 +114,60 @@ class LocalEntropySpec extends AnyFunSuite with PropSupport {
     val rel = EncodedRelation.fromTuples(Vector("A", "B"),
       Seq(Seq("x", 1), Seq("x", 2), Seq("y", 1)))
     assert(rel.size == 3)
-    assert(rel.rows(0)(0) == rel.rows(1)(0)) // same "x"
-    assert(rel.rows(0)(0) != rel.rows(2)(0))
-    assert(rel.rows(0)(1) == rel.rows(2)(1)) // same 1
+    assert(rel.cols(0)(0) == rel.cols(0)(1)) // same "x"
+    assert(rel.cols(0)(0) != rel.cols(0)(2))
+    assert(rel.cols(1)(0) == rel.cols(1)(2)) // same 1
+  }
+
+  test("64 columns: H(Ω), H({63}) and H(∅) match the naive entropy (memo keys -1 and 0)") {
+    val rel = TestData.randomRelation(64, 40, 2, seed = 11)
+    val o = new LocalEntropyOracle(rel)
+    for (_ <- 0 until 2; x <- Seq(AttrSet.empty, AttrSet.range(64), AttrSet.single(63))) {
+      val exp = NaiveEntropy.entropy(rel, x)
+      assert(math.abs(o.entropy(x) - exp) < 1e-9, s"x=$x")
+    }
+    assert(o.computations == 3)
+  }
+
+  test("more than 64 columns is rejected when encoding") {
+    val names = Vector.tabulate(65)(i => s"c$i")
+    val e = intercept[IllegalArgumentException] {
+      EncodedRelation.fromTuples(names, Seq(Seq.fill(65)(0)))
+    }
+    assert(e.getMessage.contains("65 columns") && e.getMessage.contains("64"))
+  }
+
+  test("0 rows and 1 row: every entropy is 0") {
+    for (nRows <- Seq(0, 1)) {
+      val rel = TestData.randomRelation(3, nRows, 3, seed = 12)
+      val o = new LocalEntropyOracle(rel)
+      AttrSet.subsetsOf(AttrSet.range(3)).foreach { x =>
+        assert(o.entropy(x) == 0.0 && NaiveEntropy.entropy(rel, x) == 0.0, s"nRows=$nRows x=$x")
+      }
+    }
+  }
+
+  test("property: skewed relations, every subset in shuffled order, any cache size") {
+    // Columns: three skewed domains, a constant, an all-distinct column and
+    // one whose only repeat is a single pair. A shuffled order makes
+    // partitions refine from cached subsets, across cluster boundaries.
+    val gen = for {
+      nRows <- Gen.choose(500, 3000)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (nRows, seed)
+    checkProp(Prop.forAll(gen) { case (nRows, seed) =>
+      val rnd = new Random(seed)
+      def skewed(d: Int) = (math.pow(rnd.nextDouble(), 3) * d).toInt
+      val rows = Array.tabulate(nRows) { r =>
+        Array(skewed(4), skewed(30), 0, r, if (r == nRows - 1) 0 else r, skewed(200))
+      }
+      val rel = TestData.fromRows(Vector.tabulate(6)(i => s"c$i"), rows)
+      val subsets = AttrSet.subsetsOf(AttrSet.range(6)).toVector
+      val exp = subsets.map(x => x -> NaiveEntropy.entropy(rel, x)).toMap
+      Seq(1, 2, 256).forall { cap =>
+        val o = new LocalEntropyOracle(rel, partitionCacheCap = cap)
+        rnd.shuffle(subsets).forall(x => math.abs(o.entropy(x) - exp(x)) < 1e-9)
+      }
+    }, minTests = 8)
   }
 }

@@ -32,7 +32,7 @@ class InfoCalcEdgeSpec extends AnyFunSuite {
   test("H of the full attribute set equals log2 N on duplicate-free data") {
     val rel = TestData.structuredRelation(64, 3)
     val calc = TestData.calcOf(rel)
-    val distinct = rel.rows.map(_.toSeq).distinct.length
+    val distinct = (0 until rel.size).map(r => rel.cols.map(_(r)).toSeq).distinct.length
     if (distinct == rel.size) {
       assert(math.abs(calc.H(AttrSet.range(4)) - EntropyLog.log2(rel.size)) < 1e-9)
     } else {

@@ -69,7 +69,7 @@ class InfoCalcSpec extends AnyFunSuite {
   test("Sec 5.2 counterexample: two-tuple relation with eps=1") {
     // R = {(0,0,0),(1,1,1)} over A,B,C with empty key X.
     // J(X↠AB|C)=J(X↠AC|B)=J(X↠BC|A)=1 but J(X↠A|B|C)=2.
-    val rel = repro.core.entropy.EncodedRelation(
+    val rel = TestData.fromRows(
       Vector("A", "B", "C"), Array(Array(0, 0, 0), Array(1, 1, 1)))
     val calc = TestData.calcOf(rel)
     val x = AttrSet.empty

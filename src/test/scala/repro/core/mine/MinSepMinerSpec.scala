@@ -38,7 +38,7 @@ class MinSepMinerSpec extends AnyFunSuite {
   test("no separator when the pair is entangled at eps=0") {
     // B = A (copy column): I(A;B|anything) > 0 always, so nothing separates.
     val rows = Array.tabulate(20)(i => Array(i % 4, i % 4, i % 3))
-    val rel = repro.core.entropy.EncodedRelation(Vector("A", "B", "C"), rows)
+    val rel = TestData.fromRows(Vector("A", "B", "C"), rows)
     val calc = TestData.calcOf(rel)
     val m = miner(calc, 3, 0.0)
     assert(m.mineMinSeps(0, 1).isEmpty)
@@ -54,7 +54,7 @@ class MinSepMinerSpec extends AnyFunSuite {
   test("independent column: empty set separates it at eps=0 on a product relation") {
     // Full cartesian product of two columns — exactly independent.
     val rows = for { a <- 0 until 4; b <- 0 until 3 } yield Array(a, b)
-    val rel = repro.core.entropy.EncodedRelation(Vector("A", "B"), rows.toArray)
+    val rel = TestData.fromRows(Vector("A", "B"), rows.toArray)
     val calc = TestData.calcOf(rel)
     val m = miner(calc, 2, 0.0)
     assert(m.mineMinSeps(0, 1) == Vector(AttrSet.empty))
