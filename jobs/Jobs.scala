@@ -1,9 +1,10 @@
 package repro.jobs
 
+import scala.collection.immutable.ListMap
 import org.apache.spark.sql.SparkSession
 import repro.exp.Experiments
 
-/** Shared session bootstrap for the spark-submit entrypoints. */
+/** Shared session bootstrap for the spark-submit entrypoint. */
 object JobSession {
   def make(name: String): SparkSession =
     SparkSession.builder
@@ -20,88 +21,46 @@ object JobSession {
     if (args.length > i) args(i).toLong else default
 }
 
-/** Table 2: full-MVD mining at ε = 0 over the 20 dataset analogs.
-  * args: [rowCap] [perDatasetMs]
+/** One paper exhibit per run: `Jobs <exhibit> [arg0] [arg1]`, printing the
+  * exhibit's table. The two optional arguments of each exhibit, and their
+  * defaults, are listed in [[exhibits]].
   */
-object Table2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("table2")
-    val rows = Experiments.table2(spark,
-      rowCap = JobSession.argInt(args, 0, 20000),
-      perDatasetMs = JobSession.argLong(args, 1, 120000L))
-    println(Experiments.formatTable2(rows))
-    spark.stop()
-  }
-}
+object Jobs {
+  import JobSession.{argInt, argLong}
+  import Experiments._
 
-/** Fig. 10/11: the Nursery use case. args: [maxScored] [mineMsPerEps] */
-object NurseryJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("nursery")
-    val rows = Experiments.nurseryUseCase(spark,
-      maxScored = JobSession.argInt(args, 0, 40),
-      mineMsPerEps = JobSession.argLong(args, 1, 120000L))
-    println(Experiments.formatSchemes(rows))
-    spark.stop()
-  }
-}
+  /** Exhibit name → the table it prints from a session and its arguments. */
+  val exhibits: ListMap[String, (SparkSession, Array[String]) => String] = ListMap(
+    // Table 2: [rowCap] [perDatasetMs]
+    "table2" -> ((spark, a) => formatTable2(table2(spark,
+      rowCap = argInt(a, 0, 20000), perDatasetMs = argLong(a, 1, 120000L)))),
+    // Fig. 10/11: [maxScored] [mineMsPerEps]
+    "nursery" -> ((spark, a) => formatSchemes(nurseryUseCase(spark,
+      maxScored = argInt(a, 0, 40), mineMsPerEps = argLong(a, 1, 120000L)))),
+    // Fig. 12: [rowCap] [mineMsPerEps]
+    "accuracy" -> ((spark, a) => formatAccuracy(accuracy(spark,
+      rowCap = argInt(a, 0, 5000), mineMsPerEps = argLong(a, 1, 60000L)))),
+    // Fig. 13: [baseRows] [perPointMs]
+    "rowscale" -> ((spark, a) => formatScale(rowScalability(spark,
+      baseRows = argInt(a, 0, 40000), perPointMs = argLong(a, 1, 60000L)))),
+    // Fig. 14: [rowCap] [perPointMs]
+    "colscale" -> ((spark, a) => formatScale(colScalability(spark,
+      rowCap = argInt(a, 0, 5000), perPointMs = argLong(a, 1, 30000L)))),
+    // Fig. 15: [rowCap] [perEpsMs]
+    "quality" -> ((spark, a) => formatQuality(quality(spark,
+      rowCap = argInt(a, 0, 5000), perEpsMs = argLong(a, 1, 60000L)))),
+    // Fig. 18: [rowCap] [perPointMs]
+    "fullmvd" -> ((spark, a) => formatFullMvd(fullMvdCounts(spark,
+      rowCap = argInt(a, 0, 5000), perPointMs = argLong(a, 1, 60000L)))),
+  )
 
-/** Fig. 12: spurious tuples vs J-measure. args: [rowCap] [mineMsPerEps] */
-object AccuracyJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("accuracy")
-    val rows = Experiments.accuracy(spark,
-      rowCap = JobSession.argInt(args, 0, 5000),
-      mineMsPerEps = JobSession.argLong(args, 1, 60000L))
-    println(Experiments.formatAccuracy(rows))
-    spark.stop()
-  }
-}
-
-/** Fig. 13: row scalability. args: [baseRows] [perPointMs] */
-object RowScaleJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("rowscale")
-    val rows = Experiments.rowScalability(spark,
-      baseRows = JobSession.argInt(args, 0, 40000),
-      perPointMs = JobSession.argLong(args, 1, 60000L))
-    println(Experiments.formatScale(rows))
-    spark.stop()
-  }
-}
-
-/** Fig. 14: column scalability. args: [rowCap] [perPointMs] */
-object ColScaleJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("colscale")
-    val rows = Experiments.colScalability(spark,
-      rowCap = JobSession.argInt(args, 0, 5000),
-      perPointMs = JobSession.argLong(args, 1, 30000L))
-    println(Experiments.formatScale(rows))
-    spark.stop()
-  }
-}
-
-/** Fig. 15: schema quality vs threshold. args: [rowCap] [perEpsMs] */
-object QualityJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("quality")
-    val rows = Experiments.quality(spark,
-      rowCap = JobSession.argInt(args, 0, 5000),
-      perEpsMs = JobSession.argLong(args, 1, 60000L))
-    println(Experiments.formatQuality(rows))
-    spark.stop()
-  }
-}
-
-/** Fig. 18: minimal separators vs full MVDs. args: [rowCap] [perPointMs] */
-object FullMvdJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.make("fullmvd")
-    val rows = Experiments.fullMvdCounts(spark,
-      rowCap = JobSession.argInt(args, 0, 5000),
-      perPointMs = JobSession.argLong(args, 1, 60000L))
-    println(Experiments.formatFullMvd(rows))
-    spark.stop()
+    val name = args.headOption.getOrElse("")
+    // checked before the (slow) Spark start-up
+    val run = exhibits.getOrElse(name, throw new IllegalArgumentException(
+      s"unknown exhibit '$name'; expected one of: ${exhibits.keys.mkString(", ")}"))
+    val spark = JobSession.make(name)
+    try println(run(spark, args.drop(1)))
+    finally spark.stop()
   }
 }

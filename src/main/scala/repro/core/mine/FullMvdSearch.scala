@@ -19,11 +19,6 @@ import repro.util.Deadline
   */
 object FullMvdSearch {
 
-  /** At most `k` ε-MVDs with key `key` separating `a`,`b`. With
-    * `k = Int.MaxValue` the result is post-minimized so only *full*
-    * (unrefinable) MVDs survive; with small `k` it is an existence probe
-    * (used by ReduceMinSep / MineMinSeps with k = 1).
-    */
   /** Per-call search budget: number of distinct partitions visited before a
     * call gives up and returns what it has. Keeps one explosive key from
     * consuming an entire mining time limit (the paper bounds this with its
@@ -32,6 +27,11 @@ object FullMvdSearch {
     */
   val DefaultMaxNodes: Int = 100000
 
+  /** At most `k` ε-MVDs with key `key` separating `a`,`b`. With
+    * `k = Int.MaxValue` the result is post-minimized so only *full*
+    * (unrefinable) MVDs survive; with small `k` it is an existence probe
+    * (used by ReduceMinSep / MineMinSeps with k = 1).
+    */
   def fullMvds(calc: InfoCalc, omega: AttrSet, key: AttrSet, eps: Double,
                a: Int, b: Int, k: Int, deadline: Deadline,
                maxNodes: Int = DefaultMaxNodes): Vector[Mvd] = {

@@ -22,9 +22,10 @@ object ASMiner {
            maxSchemes: Int = Int.MaxValue, timeLimitMs: Long = -1L): Result = {
     val start = System.nanoTime()
     val deadline = Deadline.ofMs(timeLimitMs)
-    if (mvds.isEmpty)
-      return Result(Vector(Scored(Schema.of(Vector(omega)), 0.0, Vector.empty)),
-                    timedOut = false, elapsedMs = 0L)
+    // the trivial scheme {Ω}: the answer when M_ε is empty, and the anytime
+    // answer when the budget fires before the first maximal independent set
+    val trivial = Vector(Scored(Schema.of(Vector(omega)), 0.0, Vector.empty))
+    if (mvds.isEmpty) return Result(trivial, timedOut = false, elapsedMs = 0L)
 
     val n = mvds.size
     val adj = Array.tabulate(n, n)((i, j) =>
@@ -46,6 +47,8 @@ object ASMiner {
         }
       }
     }
-    Result(out.result(), deadline.exceeded, (System.nanoTime() - start) / 1000000L)
+    val schemes = out.result()
+    Result(if (schemes.isEmpty) trivial else schemes, deadline.exceeded,
+           (System.nanoTime() - start) / 1000000L)
   }
 }

@@ -1,20 +1,44 @@
 package repro.exp
 
+import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{AttrSet, JoinTree, Maimon, Schema}
+import repro.core.{JoinTree, Maimon}
 import repro.core.entropy.{EncodedRelation, LocalEntropyOracle}
 import repro.core.info.InfoCalc
 import repro.core.mine.MvdMiner
 import repro.core.quality.SchemaQuality
-import repro.core.schema.ASMiner
 import repro.data.{MetanomeLite, NurseryData}
 
-/** The paper's evaluation (Sec. 8), shared between the `jobs/` entrypoints
+/** The paper's evaluation (Sec. 8), shared between the `jobs/` entrypoint
   * and the `bench/` suites. Every public method reproduces one exhibit and
   * returns structured rows; `format*` renders the table the paper prints.
   * Paper-reported numbers ride along where the exhibit has them (Table 2).
+  * Every exhibit runs each of its datasets through one `sweep`.
   */
 object Experiments {
+
+  /** One (dataset, ε) point of a `sweep`: the dataset's one encoding and an
+    * oracle of the point's own, so the runtime a row reports belongs to that
+    * row alone, not to a memo warmed by the points before it. A point makes
+    * one pipeline call: `mine` or `schemes`.
+    */
+  private final class Point(val rel: EncodedRelation, val eps: Double) {
+    private val oracle = new LocalEntropyOracle(rel)
+
+    /** M_ε (Fig. 3); `minSepsOnly` skips the full-MVD expansion. */
+    def mine(ms: Long, minSepsOnly: Boolean = false): MvdMiner.Result =
+      MvdMiner.mine(new InfoCalc(oracle), rel.n, eps, ms, minSepsOnly)
+
+    /** Maimon: M_ε, then up to 2000 acyclic schemes, `ms` for each phase. */
+    def schemes(ms: Long): Maimon.Result =
+      Maimon.runWithOracle(oracle, rel.names, Maimon.Config(eps, ms, ms, 2000))
+  }
+
+  /** Encode `df` once, then make one row per threshold from its `Point`. */
+  private def sweep[A](df: DataFrame, epss: Seq[Double])(row: Point => A): Vector[A] = {
+    val rel = EncodedRelation.fromDataFrame(df)
+    epss.toVector.map(eps => row(new Point(rel, eps)))
+  }
 
   // ------------------------------------------------------------------
   // Table 2 — full-MVD mining at threshold 0 over the 20 datasets
@@ -28,16 +52,15 @@ object Experiments {
 
   def table2(spark: SparkSession, rowCap: Int, perDatasetMs: Long,
              names: Seq[String] = MetanomeLite.catalog.map(_.name)): Vector[Table2Row] =
-    names.toVector.map { name =>
+    names.toVector.flatMap { name =>
       val e = MetanomeLite.entry(name)
-      val df = MetanomeLite.load(spark, name, rowCap)
-      val rel = EncodedRelation.fromDataFrame(df)
-      val calc = new InfoCalc(new LocalEntropyOracle(rel))
-      val res = MvdMiner.mine(calc, rel.n, eps = 0.0, timeLimitMs = perDatasetMs)
-      Table2Row(name, rel.n, rel.size.toLong,
-                res.elapsedMs / 1000.0, res.timedOut,
-                res.distinctMinSeps.size, res.mvds.size,
-                e.paperRows, e.paperRuntimeSec, e.paperFullMvds)
+      sweep(MetanomeLite.load(spark, name, rowCap), Seq(0.0)) { p =>
+        val res = p.mine(perDatasetMs)
+        Table2Row(name, p.rel.n, p.rel.size.toLong,
+                  res.elapsedMs / 1000.0, res.timedOut,
+                  res.distinctMinSeps.size, res.mvds.size,
+                  e.paperRows, e.paperRuntimeSec, e.paperFullMvds)
+      }
     }
 
   def formatTable2(rows: Seq[Table2Row]): String =
@@ -65,7 +88,7 @@ object Experiments {
                      thresholds: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5),
                      maxScored: Int = 40,
                      mineMsPerEps: Long = 120000L): Vector[SchemeRow] = {
-    schemesWithQuality(NurseryData.load(spark).cache(), thresholds, maxScored, mineMsPerEps)
+    schemesWithQuality(NurseryData.load(spark), thresholds, maxScored, mineMsPerEps)
   }
 
   /** Mine schemes at each threshold, dedupe, score J / S% / E%, and mark the
@@ -74,35 +97,28 @@ object Experiments {
     */
   def schemesWithQuality(df: DataFrame, thresholds: Seq[Double], maxScored: Int,
                          mineMsPerEps: Long): Vector[SchemeRow] = {
-    val rel = EncodedRelation.fromDataFrame(df)
-    val nRows = rel.size.toLong
-    val calc = new InfoCalc(new LocalEntropyOracle(rel))
-    val seen = scala.collection.mutable.HashSet.empty[Vector[Long]]
-    val picked = Vector.newBuilder[(Double, ASMiner.Scored)]
+    val seen = mutable.HashSet.empty[Vector[Long]]
     // spread the (expensive) quality-scoring budget across thresholds so the
     // reported schemes span the J range like the paper's Fig. 10/11
     val perEps = math.max(1, maxScored / math.max(1, thresholds.size))
-    for (eps <- thresholds) {
-      val mining = MvdMiner.mine(calc, rel.n, eps, mineMsPerEps)
-      val schemes = ASMiner.mine(calc, mining.mvds, AttrSet.range(rel.n),
-                                 maxSchemes = 2000, timeLimitMs = mineMsPerEps)
-      val fresh = schemes.schemes.sortBy(_.j)
+    val rows = sweep(df, thresholds) { p =>
+      val fresh = p.schemes(mineMsPerEps).schemes.schemes.sortBy(_.j)
         .filter(s => s.schema.nRelations > 1 && !seen.contains(s.schema.bags.map(_.bits)))
       // evenly-spaced picks across the J range, so the scored sample spans
       // low-J (near-exact) through high-J schemes like the paper's Fig. 11
       val step = math.max(1, fresh.size / math.max(1, perEps))
-      for (s <- fresh.indices.by(step).take(perEps).map(fresh)) {
-        if (seen.add(s.schema.bags.map(_.bits))) picked += ((eps, s))
-      }
+      val nRows = p.rel.size.toLong
+      fresh.indices.by(step).take(perEps).map(fresh)
+        .filter(s => seen.add(s.schema.bags.map(_.bits)))
+        .map { s =>
+          val tree = JoinTree.fromSchema(s.schema).get
+          SchemeRow(p.eps, s.j, s.schema.nRelations, s.schema.width, s.schema.intWidth,
+                    SchemaQuality.savingsPct(p.rel, s.schema, nRows),
+                    SchemaQuality.spuriousPct(p.rel, tree, nRows),
+                    s.schema.render(p.rel.names), pareto = false)
+        }
     }
-    val rows = picked.result().map { case (eps, s) =>
-      val tree = JoinTree.fromSchema(s.schema).get
-      val e = SchemaQuality.spuriousPct(df, tree, nRows)
-      val sv = SchemaQuality.savingsPct(df, s.schema, nRows)
-      SchemeRow(eps, s.j, s.schema.nRelations, s.schema.width, s.schema.intWidth,
-                sv, e, s.schema.render(rel.names), pareto = false)
-    }
-    markPareto(rows)
+    markPareto(rows.flatten)
   }
 
   /** Pareto-optimal rows: no other scheme has both higher savings and lower
@@ -136,7 +152,7 @@ object Experiments {
                rowCap: Int = 5000, maxScored: Int = 30,
                mineMsPerEps: Long = 60000L): Vector[AccuracyRow] =
     datasets.toVector.flatMap { name =>
-      val df = MetanomeLite.load(spark, name, rowCap).cache()
+      val df = MetanomeLite.load(spark, name, rowCap)
       val rows = schemesWithQuality(df, thresholds, maxScored, mineMsPerEps)
       val buckets = Seq((0.0, 0.1), (0.1, 0.2), (0.2, 0.3), (0.3, 0.4), (0.4, 10.0))
       buckets.flatMap { case (lo, hi) =>
@@ -188,17 +204,14 @@ object Experiments {
       }
     }
 
-  /** Minimal-separator mining of `df` at each threshold, a fresh oracle each. */
+  /** Minimal-separator mining of `df` at each threshold (Sec. 8.3). */
   private def minSepsPerEps(name: String, df: DataFrame, epss: Seq[Double],
-                            perPointMs: Long): Seq[ScaleRow] = {
-    val rel = EncodedRelation.fromDataFrame(df)
-    epss.map { eps =>
-      val calc = new InfoCalc(new LocalEntropyOracle(rel))
-      val res = MvdMiner.mine(calc, rel.n, eps, perPointMs, minSepsOnly = true)
-      ScaleRow(name, eps, rel.size.toLong, rel.n,
+                            perPointMs: Long): Seq[ScaleRow] =
+    sweep(df, epss) { p =>
+      val res = p.mine(perPointMs, minSepsOnly = true)
+      ScaleRow(name, p.eps, p.rel.size.toLong, p.rel.n,
                res.elapsedMs / 1000.0, res.timedOut, res.distinctMinSeps.size)
     }
-  }
 
   def formatScale(rows: Seq[ScaleRow]): String =
     fmt(Seq("dataset", "eps", "rows", "cols", "runtime[s]", "minSeps"),
@@ -218,16 +231,10 @@ object Experiments {
               epss: Seq[Double] = Seq(0.0, 0.1, 0.3, 0.5),
               rowCap: Int = 5000, perEpsMs: Long = 60000L): Vector[QualityRow] =
     datasets.toVector.flatMap { name =>
-      val df = MetanomeLite.load(spark, name, rowCap)
-      val rel = EncodedRelation.fromDataFrame(df)
-      val calc = new InfoCalc(new LocalEntropyOracle(rel))
-      epss.map { eps =>
-        val mining = MvdMiner.mine(calc, rel.n, eps, perEpsMs)
-        val schemes = ASMiner.mine(calc, mining.mvds, AttrSet.range(rel.n),
-                                   maxSchemes = 2000, timeLimitMs = perEpsMs)
-        val nontrivial = schemes.schemes.filter(_.schema.nRelations > 1)
-        if (nontrivial.isEmpty) QualityRow(name, eps, 0, 1, rel.n, 0)
-        else QualityRow(name, eps, nontrivial.size,
+      sweep(MetanomeLite.load(spark, name, rowCap), epss) { p =>
+        val nontrivial = p.schemes(perEpsMs).schemes.schemes.filter(_.schema.nRelations > 1)
+        if (nontrivial.isEmpty) QualityRow(name, p.eps, 0, 1, p.rel.n, 0)
+        else QualityRow(name, p.eps, nontrivial.size,
                         nontrivial.map(_.schema.nRelations).max,
                         nontrivial.map(_.schema.width).min,
                         nontrivial.map(_.schema.intWidth).min)
@@ -252,13 +259,10 @@ object Experiments {
                     epss: Seq[Double] = Seq(0.0, 0.01, 0.05, 0.1, 0.3, 0.5),
                     rowCap: Int = 5000, perPointMs: Long = 60000L): Vector[FullMvdRow] =
     datasets.toVector.flatMap { name =>
-      val df = MetanomeLite.load(spark, name, rowCap)
-      val rel = EncodedRelation.fromDataFrame(df)
-      val calc = new InfoCalc(new LocalEntropyOracle(rel))
-      epss.map { eps =>
-        val res = MvdMiner.mine(calc, rel.n, eps, perPointMs)
+      sweep(MetanomeLite.load(spark, name, rowCap), epss) { p =>
+        val res = p.mine(perPointMs)
         val sec = math.max(res.elapsedMs / 1000.0, 1e-3)
-        FullMvdRow(name, eps, res.distinctMinSeps.size, res.mvds.size,
+        FullMvdRow(name, p.eps, res.distinctMinSeps.size, res.mvds.size,
                    sec, res.timedOut, res.mvds.size / sec)
       }
     }

@@ -3,12 +3,34 @@ package repro.core.mine
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.core.{AttrSet, TestData}
+import repro.core.info.InfoCalc
 import repro.util.Deadline
 
 class MinSepMinerSpec extends AnyFunSuite {
 
-  private def miner(calc: repro.core.info.InfoCalc, n: Int, eps: Double) =
+  private def miner(calc: InfoCalc, n: Int, eps: Double) =
     new MinSepMiner(calc, AttrSet.range(n), eps, Deadline.unlimited)
+
+  /** Brute-force reference: all minimal A,B-separators by checking every
+    * subset of Ω\{A,B} against every 2-partition (exponential).
+    * X separates A,B iff some 2-partition (Y,Z) of Ω\X with A∈Y, B∈Z has
+    * I(Y;Z|X) ≤ ε — an m-ary separating ε-MVD can always be coarsened to
+    * such a 2-partition without increasing J (Prop. 5.2).
+    */
+  private def bruteForce(calc: InfoCalc, omega: AttrSet, eps: Double, a: Int, b: Int): Vector[AttrSet] = {
+    val ground = omega - a - b
+    def seps2(x: AttrSet): Boolean = {
+      val rest = ground.diff(x)
+      AttrSet.subsetsOf(rest).exists { y0 =>
+        val y = y0 + a
+        val z = rest.diff(y0) + b
+        calc.cmi(y, z, x) <= eps + InfoCalc.Tol
+      }
+    }
+    val separating = AttrSet.subsetsOf(ground).filter(seps2).toVector
+    // minimal: no strict subset separates
+    separating.filter(x => !separating.exists(y => y.strictSubsetOf(x)))
+  }
 
   test("matches brute force on random relations (eps=0)") {
     for (seed <- 0 until 20) {
@@ -16,7 +38,7 @@ class MinSepMinerSpec extends AnyFunSuite {
       val calc = TestData.calcOf(rel)
       val m = miner(calc, 5, 0.0)
       val got = m.mineMinSeps(0, 1).toSet
-      val exp = MinSepMiner.bruteForce(calc, AttrSet.range(5), 0.0, 0, 1).toSet
+      val exp = bruteForce(calc, AttrSet.range(5), 0.0, 0, 1).toSet
       assert(got == exp, s"seed=$seed got=$got exp=$exp")
     }
   }
@@ -30,7 +52,7 @@ class MinSepMinerSpec extends AnyFunSuite {
       val pair = Seq((0, 1), (1, 3), (2, 4))(seed % 3)
       val m = miner(calc, 5, eps)
       val got = m.mineMinSeps(pair._1, pair._2).toSet
-      val exp = MinSepMiner.bruteForce(calc, AttrSet.range(5), eps, pair._1, pair._2).toSet
+      val exp = bruteForce(calc, AttrSet.range(5), eps, pair._1, pair._2).toSet
       assert(got == exp, s"seed=$seed eps=$eps pair=$pair got=$got exp=$exp")
     }
   }

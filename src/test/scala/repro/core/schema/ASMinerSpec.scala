@@ -24,6 +24,17 @@ class ASMinerSpec extends AnyFunSuite {
     assert(res.schemes.exists(_.schema.nRelations >= 4))
   }
 
+  test("a budget that fires before the first MIS still yields the trivial scheme {Ω}") {
+    val calc = TestData.calcOf(RunningExample.cleanEncoded)
+    val mined = MvdMiner.mine(calc, 6, eps = 0.0)
+    assert(mined.mvds.nonEmpty)
+    val res = ASMiner.mine(calc, mined.mvds, AttrSet.range(6), timeLimitMs = 0L)
+    assert(res.timedOut)
+    assert(res.schemes.map(_.schema.bags) == Vector(Vector(AttrSet.range(6))))
+    assert(res.schemes.head.j == 0.0)
+    assert(res.schemes.head.support.isEmpty)
+  }
+
   test("schemes are deduplicated") {
     val calc = TestData.calcOf(RunningExample.cleanEncoded)
     val mined = MvdMiner.mine(calc, 6, eps = 0.0)

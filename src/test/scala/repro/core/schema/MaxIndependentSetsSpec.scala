@@ -15,6 +15,16 @@ class MaxIndependentSetsSpec extends AnyFunSuite {
 
   private def emptyGraph(n: Int) = Array.fill(n, n)(false)
 
+  /** Brute-force reference: all maximal independent sets by
+    * scanning every vertex subset (exponential).
+    */
+  private def bruteForce(n: Int, adj: Array[Array[Boolean]]): Set[Set[Int]] = {
+    def independent(s: Set[Int]): Boolean =
+      s.forall(i => s.forall(j => i == j || !adj(i)(j)))
+    val all = (0 until n).toSet.subsets().filter(independent).toVector
+    all.filter(s => !all.exists(t => s.subsetOf(t) && s != t)).toSet
+  }
+
   test("empty graph: the single MIS is the full vertex set") {
     assert(collect(4, emptyGraph(4)) == Set(Set(0, 1, 2, 3)))
   }
@@ -40,7 +50,7 @@ class MaxIndependentSetsSpec extends AnyFunSuite {
         adj(i)(j) = true; adj(j)(i) = true
       }
       val got = collect(n, adj)
-      val exp = MaxIndependentSets.bruteForce(n, adj)
+      val exp = bruteForce(n, adj)
       assert(got == exp, s"trial=$trial got=$got exp=$exp")
     }
   }

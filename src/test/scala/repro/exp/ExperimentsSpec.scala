@@ -59,6 +59,19 @@ class ExperimentsSpec extends SparkSpec {
     assert(Experiments.formatQuality(rows).contains("bridges"))
   }
 
+  test("schemesWithQuality scores distinct multi-relation schemes and marks a pareto front") {
+    val rows = Experiments.schemesWithQuality(repro.data.RunningExample.withRed(spark),
+                                              thresholds = Seq(0.0, 0.8), maxScored = 6,
+                                              mineMsPerEps = 20000L)
+    assert(rows.nonEmpty)
+    rows.foreach { r =>
+      assert(r.nRelations >= 2, r.schema)
+      assert(r.spuriousPct >= 0.0, r.schema)
+    }
+    assert(rows.map(_.schema).distinct.size == rows.size)
+    assert(rows.exists(_.pareto))
+  }
+
   test("markPareto marks non-dominated schemes only") {
     def row(s: Double, e: Double) =
       Experiments.SchemeRow(0.1, 0.1, 2, 3, 1, s, e, "x", pareto = false)

@@ -2,8 +2,8 @@ package repro.jobs
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The spark-submit entrypoints share the experiment harness with the bench
-  * suites (exercised there); here we pin the argument plumbing.
+/** The spark-submit entrypoint shares the experiment harness with the bench
+  * suites (exercised there); here we pin the dispatch and argument plumbing.
   */
 class JobsSpec extends AnyFunSuite {
 
@@ -22,12 +22,15 @@ class JobsSpec extends AnyFunSuite {
     assert(JobSession.argLong(Array.empty, 0, 5L) == 5L)
   }
 
-  test("all seven job entrypoints exist with main methods") {
-    // compile-time presence check — one object per paper exhibit
-    val mains: Seq[Array[String] => Unit] = Seq(
-      Table2Job.main _, NurseryJob.main _, AccuracyJob.main _,
-      RowScaleJob.main _, ColScaleJob.main _, QualityJob.main _,
-      FullMvdJob.main _)
-    assert(mains.size == 7)
+  test("the dispatcher knows exactly the seven exhibits") {
+    assert(Jobs.exhibits.keySet ==
+      Set("table2", "nursery", "accuracy", "rowscale", "colscale", "quality", "fullmvd"))
+  }
+
+  test("an unknown or missing exhibit name fails with a message listing the known ones") {
+    for (args <- Seq(Array("table3"), Array.empty[String])) {
+      val e = intercept[IllegalArgumentException](Jobs.main(args))
+      Jobs.exhibits.keys.foreach(name => assert(e.getMessage.contains(name)))
+    }
   }
 }
